@@ -14,20 +14,23 @@ func TestQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := enumtrees.SelectLabel([]enumtrees.Label{"a", "b"}, "b", 0)
-	e, err := enumtrees.New(tr, q, enumtrees.Options{})
+	qs := enumtrees.NewQuerySet(tr)
+	id, err := qs.Register(q, enumtrees.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 2 {
-		t.Fatalf("count = %d, want 2", e.Count())
+	if c := qs.Snapshot().Query(id).Count(); c != 2 {
+		t.Fatalf("count = %d, want 2", c)
 	}
-	if _, err := e.InsertFirstChild(tr.Root.ID, "b"); err != nil {
+	m, _, err := qs.ApplyBatch([]enumtrees.Update{{Op: enumtrees.OpInsertFirstChild, Node: tr.Root.ID, Label: "b"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 3 {
-		t.Fatalf("count = %d, want 3", e.Count())
+	s := m.Query(id)
+	if s.Count() != 3 {
+		t.Fatalf("count = %d, want 3", s.Count())
 	}
-	for asg := range e.Results() {
+	for asg := range s.Results() {
 		if len(asg) != 1 {
 			t.Fatalf("assignment %v", asg)
 		}
@@ -87,7 +90,7 @@ func TestQuerySetFacade(t *testing.T) {
 	if err := qs.Unregister(qc); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := qs.Relabel(tr.Root.ID, "a")
+	m2, _, err := qs.ApplyBatch([]enumtrees.Update{{Op: enumtrees.OpRelabel, Node: tr.Root.ID, Label: "a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +122,14 @@ func TestMSOEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := enumtrees.ParseTree("(dir (dir (file)) (dir))")
-	e, err := enumtrees.New(tr, q, enumtrees.Options{})
+	qs := enumtrees.NewQuerySet(tr)
+	id, err := qs.Register(q, enumtrees.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Root dir and its first child contain files; the empty dir does not.
-	if e.Count() != 2 {
-		t.Fatalf("count = %d, want 2", e.Count())
+	if c := qs.Snapshot().Query(id).Count(); c != 2 {
+		t.Fatalf("count = %d, want 2", c)
 	}
 	// Add a file to the empty dir.
 	var emptyDir enumtrees.NodeID
@@ -134,11 +138,12 @@ func TestMSOEndToEnd(t *testing.T) {
 			emptyDir = n.ID
 		}
 	}
-	if _, err := e.InsertFirstChild(emptyDir, "file"); err != nil {
+	m, _, err := qs.ApplyBatch([]enumtrees.Update{{Op: enumtrees.OpInsertFirstChild, Node: emptyDir, Label: "file"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 3 {
-		t.Fatalf("count = %d, want 3", e.Count())
+	if c := m.Query(id).Count(); c != 3 {
+		t.Fatalf("count = %d, want 3", c)
 	}
 }
 
@@ -154,12 +159,16 @@ func TestSpannerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := enumtrees.NewWord(enumtrees.TextLabels("abbcab"), q, enumtrees.Options{})
+	ws, err := enumtrees.NewWordQuerySet(enumtrees.TextLabels("abbcab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := ws.Register(q, enumtrees.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One match: positions 1-2 ("bb" between a and c).
-	res := e.All()
+	res := ws.Snapshot().Query(id).All()
 	if len(res) != 1 {
 		t.Fatalf("results = %v", res)
 	}
@@ -168,21 +177,29 @@ func TestSpannerEndToEnd(t *testing.T) {
 		t.Fatalf("span = %v", spans)
 	}
 	// Fix the trailing "ab" into "abc": a second match appears.
-	ids, _ := e.Word()
-	if _, err := e.InsertAfter(ids[len(ids)-1], "c"); err != nil {
+	ids, _ := ws.Word()
+	m, _, err := ws.ApplyBatch([]enumtrees.Update{{Op: enumtrees.OpInsertAfter, Node: ids[len(ids)-1], Label: "c"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 2 {
-		t.Fatalf("count = %d, want 2", e.Count())
+	if c := m.Query(id).Count(); c != 2 {
+		t.Fatalf("count = %d, want 2", c)
 	}
 }
 
-func ExampleNew() {
+func ExampleNewQuerySet() {
 	tr, _ := enumtrees.ParseTree("(a (b) (a))")
-	q := enumtrees.SelectLabel([]enumtrees.Label{"a", "b"}, "a", 0)
-	e, _ := enumtrees.New(tr, q, enumtrees.Options{})
-	fmt.Println(e.Count())
-	// Output: 2
+	qs := enumtrees.NewQuerySet(tr)
+	id, _ := qs.Register(enumtrees.SelectLabel([]enumtrees.Label{"a", "b"}, "a", 0), enumtrees.Options{})
+	fmt.Println(qs.Snapshot().Query(id).Count())
+	m, _, _ := qs.ApplyBatch([]enumtrees.Update{
+		{Op: enumtrees.OpRelabel, Node: 1, Label: "a"},
+		{Op: enumtrees.OpInsertFirstChild, Node: tr.Root.ID, Label: "b"},
+	})
+	fmt.Println(m.Query(id).Count())
+	// Output:
+	// 2
+	// 3
 }
 
 // TestPathAndAggregates exercises the path front-end and the semiring
@@ -191,10 +208,12 @@ func TestPathAndAggregates(t *testing.T) {
 	alpha := []enumtrees.Label{"doc", "sec", "fig", "par"}
 	q := enumtrees.MustCompilePath("/doc//sec/fig", alpha, 0)
 	tr, _ := enumtrees.ParseTree("(doc (sec (fig) (par)) (par (sec (fig) (fig))))")
-	e, err := enumtrees.New(tr, q, enumtrees.Options{})
+	qs := enumtrees.NewQuerySet(tr)
+	id, err := qs.Register(q, enumtrees.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := qs.Snapshot().Query(id)
 	// sec under doc has one fig; the sec under par is still a descendant
 	// of doc, so its two figs match as well.
 	if e.Count() != 3 {
@@ -202,13 +221,16 @@ func TestPathAndAggregates(t *testing.T) {
 	}
 	// Path automata are unambiguous on these queries... not in general;
 	// but derivation count must be >= result count.
-	if e.DerivationCount().Int64() < 3 {
-		t.Fatalf("derivations = %v", e.DerivationCount())
+	if e.Derivations().Int64() < 3 {
+		t.Fatalf("derivations = %v", e.Derivations())
 	}
 	if mn, ok := e.MinResultSize(); !ok || mn != 1 {
 		t.Fatalf("min size = %d, %v", mn, ok)
 	}
-	if !e.NonEmptyAlgebraic() {
-		t.Fatal("algebraic nonemptiness wrong")
+	if mx, ok := e.MaxResultSize(); !ok || mx != 1 {
+		t.Fatalf("max size = %d, %v", mx, ok)
+	}
+	if !e.NonEmpty() {
+		t.Fatal("nonemptiness wrong")
 	}
 }

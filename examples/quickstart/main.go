@@ -1,9 +1,9 @@
 // Command quickstart is the smallest end-to-end tour of the library:
-// build a tree, run an automaton query, enumerate, edit the tree, and
-// enumerate again — all through the public facade. It finishes with the
-// snapshot engine — a batched update and an old snapshot that keeps
-// answering for its own version — and a QuerySet where a duplicate
-// registration is deduped onto one shared pipeline.
+// build a tree, register an automaton query on a QuerySet, enumerate,
+// edit the tree, and enumerate again — all through the public facade.
+// It finishes with snapshot isolation — a batched update and an old
+// snapshot that keeps answering for its own version — and a duplicate
+// registration deduped onto one shared pipeline.
 package main
 
 import (
@@ -34,12 +34,13 @@ func run(w io.Writer) error {
 	q := enumtrees.SelectLabel(alpha, "fig", 0)
 
 	// Preprocess (linear time) and enumerate (constant delay per result).
-	e, err := enumtrees.New(t, q, enumtrees.Options{})
+	qs := enumtrees.NewQuerySet(t)
+	figs, err := qs.Register(q, enumtrees.Options{})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "figures:")
-	for asg := range e.Results() {
+	for asg := range qs.Snapshot().Query(figs).Results() {
 		fmt.Fprintf(w, "  %v (node %d)\n", asg, asg[0].Node)
 	}
 
@@ -50,37 +51,42 @@ func run(w io.Writer) error {
 			secondSec = n.ID // last one wins
 		}
 	}
-	newFig, err := e.InsertFirstChild(secondSec, "fig")
+	m, newIDs, err := qs.ApplyBatch([]enumtrees.Update{
+		{Op: enumtrees.OpInsertFirstChild, Node: secondSec, Label: "fig"},
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "inserted fig as node %d\n", newFig)
+	fmt.Fprintf(w, "inserted fig as node %d\n", newIDs[0])
 
-	// Enumeration restarts on the updated tree.
-	fmt.Fprintln(w, "figures now:", e.Count())
-	st := e.Stats()
+	// Enumeration restarts on the published version of the updated tree.
+	snap := m.Query(figs)
+	fmt.Fprintln(w, "figures now:", snap.Count())
+	st := snap.Stats()
 	fmt.Fprintf(w, "structures: %d boxes, width %d, term height %d\n",
 		st.Boxes, st.CircuitWidth, st.TermHeight)
 
-	// The same pipeline as a snapshot engine: updates publish immutable
-	// versions, and a snapshot taken before an edit keeps answering for
-	// its version — that is what makes concurrent readers safe.
+	// Snapshot isolation: updates publish immutable versions, and a
+	// snapshot taken before an edit keeps answering for its version —
+	// that is what makes concurrent readers safe.
 	t2, err := enumtrees.ParseTree("(doc (sec (fig) (par)))")
 	if err != nil {
 		return err
 	}
-	eng, err := enumtrees.NewEngine(t2, q, enumtrees.Options{})
+	qs2 := enumtrees.NewQuerySet(t2)
+	figs2, err := qs2.Register(q, enumtrees.Options{})
 	if err != nil {
 		return err
 	}
-	before := eng.Snapshot()
-	after, _, err := eng.ApplyBatch([]enumtrees.Update{
+	before := qs2.Snapshot().Query(figs2)
+	m2, _, err := qs2.ApplyBatch([]enumtrees.Update{
 		{Op: enumtrees.OpInsertFirstChild, Node: t2.Root.ID, Label: "fig"},
 		{Op: enumtrees.OpInsertFirstChild, Node: t2.Root.ID, Label: "fig"},
 	})
 	if err != nil {
 		return err
 	}
+	after := m2.Query(figs2)
 	fmt.Fprintf(w, "engine: snapshot v%d sees %d figure(s), v%d sees %d (batch of 2 edits, one publication)\n",
 		before.Version(), before.Count(), after.Version(), after.Count())
 
@@ -92,17 +98,17 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	qs := enumtrees.NewQuerySet(t3)
-	a, err := qs.Register(q, enumtrees.Options{})
+	qs3 := enumtrees.NewQuerySet(t3)
+	a, err := qs3.Register(q, enumtrees.Options{})
 	if err != nil {
 		return err
 	}
-	b, err := qs.Register(enumtrees.SelectLabel(alpha, "fig", 0), enumtrees.Options{})
+	b, err := qs3.Register(enumtrees.SelectLabel(alpha, "fig", 0), enumtrees.Options{})
 	if err != nil {
 		return err
 	}
-	est := qs.Stats()
-	m := qs.Snapshot()
+	est := qs3.Stats()
+	m = qs3.Snapshot()
 	fmt.Fprintf(w, "query set: %d queries share %d pipeline(s); both count %d/%d figures\n",
 		est.Queries, est.Pipelines, m.Query(a).Count(), m.Query(b).Count())
 	return nil

@@ -17,7 +17,7 @@ import (
 	"iter"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/enumerate"
 	"repro/internal/forest"
 	"repro/internal/tree"
@@ -30,25 +30,28 @@ import (
 type RebuildEnumerator struct {
 	t    *tree.Unranked
 	q    *tva.Unranked
-	e    *core.TreeEnumerator
-	opts core.Options
+	snap *engine.Snapshot
+	opts engine.Options
 }
 
 // NewRebuildEnumerator preprocesses once.
-func NewRebuildEnumerator(t *tree.Unranked, q *tva.Unranked, opts core.Options) (*RebuildEnumerator, error) {
-	e, err := core.NewTreeEnumerator(t.Clone(), q, opts)
-	if err != nil {
+func NewRebuildEnumerator(t *tree.Unranked, q *tva.Unranked, opts engine.Options) (*RebuildEnumerator, error) {
+	r := &RebuildEnumerator{t: t, q: q, opts: opts}
+	if err := r.rebuild(); err != nil {
 		return nil, err
 	}
-	return &RebuildEnumerator{t: t, q: q, e: e, opts: opts}, nil
+	return r, nil
 }
 
+// rebuild preprocesses a copy of the current tree from scratch: a fresh
+// one-query engine, of which only the published snapshot is kept.
 func (r *RebuildEnumerator) rebuild() error {
-	e, err := core.NewTreeEnumerator(r.t.Clone(), r.q, r.opts)
+	s := engine.NewTreeSet(r.t.Clone())
+	id, err := s.Register(r.q, r.opts)
 	if err != nil {
 		return err
 	}
-	r.e = e
+	r.snap = s.Snapshot().Query(id)
 	return nil
 }
 
@@ -134,10 +137,10 @@ func (r *RebuildEnumerator) InsertSubtreeRightSibling(id tree.NodeID, frag *tree
 }
 
 // Results enumerates on the current structure.
-func (r *RebuildEnumerator) Results() iter.Seq[tree.Assignment] { return r.e.Results() }
+func (r *RebuildEnumerator) Results() iter.Seq[tree.Assignment] { return r.snap.Results() }
 
-// Count drains Results.
-func (r *RebuildEnumerator) Count() int { return r.e.Count() }
+// Count returns the number of results (see engine.Snapshot.Count).
+func (r *RebuildEnumerator) Count() int { return r.snap.Count() }
 
 // DeterminizeFirstStats preprocesses the query by translating it to the
 // binary term alphabet and then determinizing, returning the state and

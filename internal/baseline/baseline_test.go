@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/enumerate"
 	"repro/internal/tree"
 	"repro/internal/tva"
@@ -13,16 +13,25 @@ import (
 var alphaAB = []tree.Label{"a", "b"}
 
 // TestRebuildMatchesIncremental compares the rebuild baseline and the
-// incremental enumerator on the same edit sequence.
+// incremental engine on the same edit sequence.
 func TestRebuildMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := tva.SelectLabel(alphaAB, "a", 0)
 	ut := tva.RandomUnrankedTree(rng, 10, alphaAB)
-	inc, err := core.NewTreeEnumerator(ut.Clone(), q, core.Options{})
+	inc := engine.NewTreeSet(ut.Clone())
+	id, err := inc.Register(q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reb, err := NewRebuildEnumerator(ut.Clone(), q, core.Options{})
+	apply := func(u engine.Update) tree.NodeID {
+		t.Helper()
+		_, ids, err := inc.ApplyBatch([]engine.Update{u})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids[0]
+	}
+	reb, err := NewRebuildEnumerator(ut.Clone(), q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,17 +41,12 @@ func TestRebuildMatchesIncremental(t *testing.T) {
 		l := alphaAB[rng.Intn(2)]
 		switch rng.Intn(3) {
 		case 0:
-			if err := inc.Relabel(n.ID, l); err != nil {
-				t.Fatal(err)
-			}
+			apply(engine.Update{Op: engine.OpRelabel, Node: n.ID, Label: l})
 			if err := reb.Relabel(n.ID, l); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
-			v1, err := inc.InsertFirstChild(n.ID, l)
-			if err != nil {
-				t.Fatal(err)
-			}
+			v1 := apply(engine.Update{Op: engine.OpInsertFirstChild, Node: n.ID, Label: l})
 			v2, err := reb.InsertFirstChild(n.ID, l)
 			if err != nil {
 				t.Fatal(err)
@@ -52,16 +56,14 @@ func TestRebuildMatchesIncremental(t *testing.T) {
 			}
 		default:
 			if n.IsLeaf() && n.Parent != nil {
-				if err := inc.Delete(n.ID); err != nil {
-					t.Fatal(err)
-				}
+				apply(engine.Update{Op: engine.OpDelete, Node: n.ID})
 				if err := reb.Delete(n.ID); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		a := map[string]bool{}
-		for asg := range inc.Results() {
+		for asg := range inc.Snapshot().Query(id).Results() {
 			a[asg.Key()] = true
 		}
 		b := map[string]bool{}
@@ -78,18 +80,14 @@ func TestRebuildMatchesIncremental(t *testing.T) {
 		}
 	}
 	// InsertRightSibling parity too.
-	nodes := inc.Tree().Nodes()
-	for _, n := range nodes {
+	for _, n := range inc.Tree().Nodes() {
 		if n.Parent != nil {
-			v1, err := inc.InsertRightSibling(n.ID, "b")
-			if err != nil {
-				t.Fatal(err)
-			}
+			v1 := apply(engine.Update{Op: engine.OpInsertRightSibling, Node: n.ID, Label: "b"})
 			v2, err := reb.InsertRightSibling(n.ID, "b")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v1 != v2 || inc.Count() != reb.Count() {
+			if v1 != v2 || inc.Snapshot().Query(id).Count() != reb.Count() {
 				t.Fatal("insertR parity broken")
 			}
 			break

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mso"
 	"repro/internal/paths"
@@ -56,6 +55,31 @@ func resultKeys(rs iter.Seq[tree.Assignment]) []string {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// registerTree stands q as the one query of a fresh TreeSet over ut.
+func registerTree(t testing.TB, ut *tree.Unranked, q *tva.Unranked, opts engine.Options) (*engine.TreeSet, engine.QueryID) {
+	t.Helper()
+	s := engine.NewTreeSet(ut)
+	id, err := s.Register(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, id
+}
+
+// registerWord stands q as the one query of a fresh WordSet.
+func registerWord(t testing.TB, letters []tree.Label, q *tva.WVA, opts engine.Options) (*engine.WordSet, engine.QueryID) {
+	t.Helper()
+	s, err := engine.NewWordSet(letters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Register(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, id
 }
 
 // diffScript is one parsed differential script.
@@ -281,15 +305,12 @@ func runDiffScript(t *testing.T, s *diffScript) {
 	if err != nil {
 		t.Fatalf("script tree: %v\nscript:\n%s", err, s)
 	}
-	oracle, err := baseline.NewRebuildEnumerator(ut.Clone(), q, core.Options{})
+	oracle, err := baseline.NewRebuildEnumerator(ut.Clone(), q, engine.Options{})
 	if err != nil {
 		t.Fatalf("oracle: %v\nscript:\n%s", err, s)
 	}
-	e, err := engine.NewTree(ut, q, engine.Options{})
-	if err != nil {
-		t.Fatalf("engine: %v\nscript:\n%s", err, s)
-	}
-	checkAgainstOracle(t, s, 0, e.Snapshot(), resultKeys(oracle.Results()))
+	e, id := registerTree(t, ut, q, engine.Options{})
+	checkAgainstOracle(t, s, 0, e.Snapshot().Query(id), resultKeys(oracle.Results()))
 	for bi, raw := range s.batches {
 		batch := make([]engine.Update, 0, len(raw))
 		for _, ed := range raw {
@@ -299,11 +320,11 @@ func runDiffScript(t *testing.T, s *diffScript) {
 			}
 			batch = append(batch, u)
 		}
-		snap, _, err := e.ApplyBatch(batch)
+		m, _, err := e.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v\nscript:\n%s", bi, err, s)
 		}
-		if err := e.Set().CheckBalanceDeep(); err != nil {
+		if err := e.CheckBalanceDeep(); err != nil {
 			t.Fatalf("batch %d: height budget violated: %v\nscript:\n%s", bi, err, s)
 		}
 		for _, u := range batch {
@@ -311,7 +332,7 @@ func runDiffScript(t *testing.T, s *diffScript) {
 				t.Fatalf("oracle batch %d: %v\nscript:\n%s", bi, err, s)
 			}
 		}
-		checkAgainstOracle(t, s, bi+1, snap, resultKeys(oracle.Results()))
+		checkAgainstOracle(t, s, bi+1, m.Query(id), resultKeys(oracle.Results()))
 	}
 }
 
@@ -405,21 +426,15 @@ func runDiffWord(t *testing.T, s *diffScript) {
 	if err != nil {
 		t.Fatalf("script query: %v\nscript:\n%s", err, s)
 	}
-	e, err := engine.NewWord(s.letters, q, engine.Options{})
-	if err != nil {
-		t.Fatalf("engine: %v\nscript:\n%s", err, s)
-	}
+	e, id := registerWord(t, s.letters, q, engine.Options{})
 	// The rebuilt oracle numbers letters positionally while the engine
 	// keeps stable letter IDs: map the oracle's positions onto the
 	// engine's current IDs before comparing.
 	oracleKeys := func() []string {
 		ids, labels := e.Word()
-		o, err := core.NewWordEnumerator(labels, q, core.Options{})
-		if err != nil {
-			t.Fatalf("oracle rebuild: %v\nscript:\n%s", err, s)
-		}
+		o, oid := registerWord(t, labels, q, engine.Options{})
 		var keys []string
-		for a := range o.Results() {
+		for a := range o.Snapshot().Query(oid).Results() {
 			mapped := make(tree.Assignment, len(a))
 			for i, sg := range a {
 				mapped[i] = tree.Singleton{Var: sg.Var, Node: ids[sg.Node]}
@@ -429,7 +444,7 @@ func runDiffWord(t *testing.T, s *diffScript) {
 		slices.Sort(keys)
 		return keys
 	}
-	checkAgainstOracle(t, s, 0, e.Snapshot(), oracleKeys())
+	checkAgainstOracle(t, s, 0, e.Snapshot().Query(id), oracleKeys())
 	for bi, raw := range s.batches {
 		batch := make([]engine.Update, 0, len(raw))
 		for _, ed := range raw {
@@ -439,14 +454,14 @@ func runDiffWord(t *testing.T, s *diffScript) {
 			}
 			batch = append(batch, u)
 		}
-		snap, _, err := e.ApplyBatch(batch)
+		m, _, err := e.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v\nscript:\n%s", bi, err, s)
 		}
-		if err := e.Set().CheckBalanceDeep(); err != nil {
+		if err := e.CheckBalanceDeep(); err != nil {
 			t.Fatalf("batch %d: height budget violated: %v\nscript:\n%s", bi, err, s)
 		}
-		checkAgainstOracle(t, s, bi+1, snap, oracleKeys())
+		checkAgainstOracle(t, s, bi+1, m.Query(id), oracleKeys())
 	}
 }
 

@@ -29,13 +29,13 @@
 // immutable forest.TrunkDelta; per-query repair then runs through
 // pipeline.applyDelta, a self-contained replay with no shared mutable
 // state, fanned out across a bounded worker pool (default GOMAXPROCS,
-// see Options.Workers / SetWorkers). Pipelines share only immutable
-// structure — the delta's frozen term nodes and the boxes of untouched
-// subtrees — so per-edit publish latency stays flat in the number of
-// subscribers on enough cores: O(log|T|) shared term work plus
+// see SetWorkers). Pipelines share only immutable structure — the
+// delta's frozen term nodes and the boxes of untouched subtrees — so
+// per-edit publish latency stays flat in the number of subscribers on
+// enough cores: O(log|T|) shared term work plus
 // O(log|T|·poly(|Q|)·k/workers) repair. A single standing query (or
-// Workers=1) takes a deterministic sequential path with no goroutines,
-// so single-query latency does not regress.
+// SetWorkers(1)) takes a deterministic sequential path with no
+// goroutines, so single-query latency does not regress.
 //
 // Queries register and unregister at runtime. Registration is
 // LOCK-LIGHT: the writer lock is held only to pin the current term
@@ -88,14 +88,13 @@
 // nothing needs to be; the -race churn stress tests
 // (TestParallelRegisterChurnStress and friends) enforce the discipline.
 //
-// TreeEngine and WordEngine remain as thin single-query shims over
-// TreeSet and WordSet for callers that serve one query per document.
-//
-// Batched updates (ApplyBatch) amortize the publication work: all edits
-// of a batch run back-to-back on the forest, the dirtied trunk is
-// deduplicated into one TrunkDelta, and boxes shared by several edits'
-// trunks are rebuilt once per pipeline instead of once per edit — one
-// publication per batch.
+// ONE EDIT SURFACE. Every edit — a single relabel or a mixed batch of
+// structural edits — goes through Engine.ApplyBatch, which runs the
+// source's per-op apply (TreeSet.apply, WordSet.apply) for each update.
+// Batching amortizes the publication work: all edits of a batch run
+// back-to-back on the forest, the dirtied trunk is deduplicated into one
+// TrunkDelta, and boxes shared by several edits' trunks are rebuilt once
+// per pipeline instead of once per edit — one publication per batch.
 package engine
 
 import (
@@ -114,23 +113,13 @@ import (
 	"repro/internal/tree"
 )
 
-// Options configure a registered query (Mode) and, for convenience, the
-// engine it registers into (Workers).
+// Options configure a registered query. The engine-wide worker-pool
+// bound is set with Engine.SetWorkers, not per registration.
 type Options struct {
 	// Mode selects the enumeration algorithm (default: ModeIndexed, the
 	// paper's algorithm). ModeNaive and ModeSimple are the baselines of
 	// experiments E1/E8.
 	Mode enumerate.Mode
-
-	// Workers bounds the engine's worker pool for the parallel write
-	// path: how many goroutines fan one trunk delta out across the
-	// standing queries' pipelines. It is an ENGINE-wide setting carried
-	// on the per-query Options for convenience — a positive value at
-	// Register adopts it for the whole engine, exactly like
-	// Engine.SetWorkers. Zero keeps the current setting (default:
-	// runtime.GOMAXPROCS(0)); 1 forces the deterministic sequential
-	// path. The pool never exceeds the number of registered queries.
-	Workers int
 
 	// FullRebuild disables signature-pruned box reuse for this query:
 	// every trunk node's box is rebuilt even when the rebuild would be
@@ -416,14 +405,15 @@ func (p *pipeline) applyDelta(delta forest.TrunkDelta, pub pubInfo) *Snapshot {
 
 // Engine is the shared writer core of a query set: it owns the source's
 // trunk drain, the per-query pipelines, the worker pool bound, and the
-// published MultiSnapshot. All mutation goes through Mutate / Register /
-// Unregister, which serialize writers; Snapshot and Stats are safe from
-// any goroutine at any time.
+// published MultiSnapshot. All mutation goes through ApplyBatch /
+// Register / Unregister, which serialize writers; Snapshot and Stats are
+// safe from any goroutine at any time.
 type Engine struct {
 	mu      sync.Mutex
 	src     Source
-	pipes   map[QueryID]*pipeline // several IDs may share one pipeline
-	order   []QueryID             // registered IDs, ascending (publication order)
+	apply   func(Update) (tree.NodeID, error) // one edit on src: TreeSet.apply / WordSet.apply
+	pipes   map[QueryID]*pipeline             // several IDs may share one pipeline
+	order   []QueryID                         // registered IDs, ascending (publication order)
 	nextID  QueryID
 	workers int
 
@@ -486,9 +476,10 @@ type Engine struct {
 // replay it — late registration walks the live term instead), and
 // installs the empty version-0 MultiSnapshot so Snapshot never returns
 // nil. The first registration publishes version 1. Called by NewTreeSet
-// / NewWordSet.
-func (e *Engine) initEngine(src Source) {
+// / NewWordSet with their source and its per-op apply.
+func (e *Engine) initEngine(src Source, apply func(Update) (tree.NodeID, error)) {
 	e.src = src
+	e.apply = apply
 	e.pipes = map[QueryID]*pipeline{}
 	e.byKey = map[pipeKey][]*pipeline{}
 	e.workers = runtime.GOMAXPROCS(0)
@@ -510,15 +501,11 @@ func (e *Engine) CheckBalanceDeep() error { return e.src.CheckBalanceDeep() }
 // forces the deterministic sequential path. The bound applies from the
 // next publication on.
 func (e *Engine) SetWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.setWorkersLocked(n)
-}
-
-func (e *Engine) setWorkersLocked(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.workers = n
 }
 
@@ -571,9 +558,6 @@ func (e *Engine) register(builder *circuit.Builder, translated int, opts Options
 	}
 	if !opts.NoDedupe {
 		e.mu.Lock()
-		if opts.Workers > 0 {
-			e.setWorkersLocked(opts.Workers)
-		}
 		if twin := e.lookupShared(key, builder.Program()); twin != nil {
 			e.dedupedRegs++
 			id := e.adoptLocked(twin)
@@ -601,13 +585,10 @@ func (e *Engine) register(builder *circuit.Builder, translated int, opts Options
 	}
 
 	// Short lock hold #1: pin the current term version and start
-	// recording deltas. Any trunk left undrained by a non-Mutate path is
-	// absorbed first so the pinned walk sees exactly the live term
-	// (normally a no-op: every mutation drains before publishing).
+	// recording deltas. Any trunk left undrained by a non-publication
+	// path is absorbed first so the pinned walk sees exactly the live
+	// term (normally a no-op: every mutation drains before publishing).
 	e.mu.Lock()
-	if opts.Workers > 0 {
-		e.setWorkersLocked(opts.Workers)
-	}
 	e.absorbPending()
 	root := e.src.TermRoot()
 	pin := e.logBase + len(e.deltaLog)
@@ -687,17 +668,42 @@ func (e *Engine) Queries() []QueryID {
 	return slices.Clone(e.order)
 }
 
-// Mutate runs edit under the writer lock, drains the dirtied trunk into
-// one immutable delta, fans it out to every registered pipeline — in
-// parallel across the worker pool for k > 1 — and atomically publishes
-// the resulting MultiSnapshot. The returned snapshot reflects whatever
-// the edit managed to apply, also when it returns an error (forest edits
-// are atomic, so a failed single edit publishes an unchanged structure).
-func (e *Engine) Mutate(edit func() error) (*MultiSnapshot, error) {
+// ApplyBatch applies the updates in order under one writer-lock hold,
+// drains the dirtied trunk into one immutable delta, fans it out to
+// every registered pipeline — in parallel across the worker pool for
+// k > 1 — and atomically publishes ONE MultiSnapshot for the whole
+// batch. Box and index repair is amortized across the batch per query:
+// trunk nodes dirtied by several edits are rebuilt once, not once per
+// edit, so k clustered edits cost well below k single publications — and
+// the forest/term work is paid once regardless of how many queries
+// stand. A single edit is a batch of one.
+//
+// The returned IDs give, per batch position, the node created by an
+// insert operation: the new node (a graft's copy root) for tree inserts,
+// the new letter for word inserts, the first fresh letter for
+// OpInsertRange / OpConcat (the range's IDs are consecutive), and
+// tree.InvalidNode for every other op and for unapplied positions (node
+// 0 is a valid ID, the root of parsed trees). On the first failing
+// update the batch stops; the edits already applied are still published
+// (each forest edit is atomic), and the error identifies the position
+// and operands.
+func (e *Engine) ApplyBatch(batch []Update) (*MultiSnapshot, []tree.NodeID, error) {
+	ids := make([]tree.NodeID, len(batch))
+	for i := range ids {
+		ids[i] = tree.InvalidNode
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	err := edit()
-	return e.applyAndPublish(), err
+	var err error
+	for i, u := range batch {
+		var v tree.NodeID
+		if v, err = e.apply(u); err != nil {
+			err = fmt.Errorf("engine: batch update %d (%s): %w", i, u.describe(), err)
+			break
+		}
+		ids[i] = v
+	}
+	return e.applyAndPublish(), ids, err
 }
 
 // Snapshot returns the currently published MultiSnapshot: one atomic
@@ -761,7 +767,7 @@ func (e *Engine) distinctPipes(ids []QueryID) []*pipeline {
 
 // applyAndPublish is the write path's back half: drain the trunk ONCE
 // into an immutable TrunkDelta, fan pipeline.applyDelta out across the
-// worker pool (sequentially for a single query or Workers=1), assemble
+// worker pool (sequentially for a single query or SetWorkers(1)), assemble
 // and atomically install the MultiSnapshot, and publish the stats
 // reading. Callers hold e.mu. O(log|T|·poly(|Q|)·k/workers) plus the
 // O(queries) assembly.
@@ -787,7 +793,7 @@ func (e *Engine) applyAndPublish() *MultiSnapshot {
 	pipes := e.distinctPipes(ids)
 	snaps := make(map[*pipeline]*Snapshot, len(pipes))
 	if w := min(e.workers, len(pipes)); w <= 1 || delta.Empty() {
-		// Deterministic sequential path: d <= 1, Workers == 1, or an
+		// Deterministic sequential path: d <= 1, one worker, or an
 		// empty delta (register/unregister publications — replay is a
 		// no-op and γ is cached, so per-pipeline work is O(1) and
 		// spawning workers would cost more than it saves). No

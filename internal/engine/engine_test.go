@@ -40,13 +40,39 @@ func resultKeys(rs iter.Seq[tree.Assignment]) []string {
 	return out
 }
 
-func mustTreeEngine(t *testing.T, ut *tree.Unranked) *TreeEngine {
+// mustRegister registers q on a fresh TreeSet over ut: the one-query
+// setup most tests start from.
+func mustRegister(t testing.TB, ut *tree.Unranked, q *tva.Unranked, opts Options) (*TreeSet, QueryID) {
 	t.Helper()
-	e, err := NewTree(ut, selectB(), Options{})
+	s := NewTreeSet(ut)
+	id, err := s.Register(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return s, id
+}
+
+// mustTreeSet registers the standing selectB query on a fresh TreeSet.
+func mustTreeSet(t testing.TB, ut *tree.Unranked) (*TreeSet, QueryID) {
+	t.Helper()
+	return mustRegister(t, ut, selectB(), Options{})
+}
+
+// edit applies one update as a batch of one, returning the created node
+// (tree.InvalidNode for non-inserts) and the published MultiSnapshot.
+func edit(e *Engine, u Update) (tree.NodeID, *MultiSnapshot, error) {
+	m, ids, err := e.ApplyBatch([]Update{u})
+	return ids[0], m, err
+}
+
+// mustEdit is edit failing the test on error.
+func mustEdit(t testing.TB, e *Engine, u Update) tree.NodeID {
+	t.Helper()
+	v, _, err := edit(e, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // TestSnapshotMatchesTree cross-checks every published snapshot against
@@ -54,41 +80,40 @@ func mustTreeEngine(t *testing.T, ut *tree.Unranked) *TreeEngine {
 func TestSnapshotMatchesTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ut := tva.RandomUnrankedTree(rng, 40, []tree.Label{"a", "b", "c"})
-	e := mustTreeEngine(t, ut)
-	check := func(s *Snapshot) {
+	e, id := mustTreeSet(t, ut)
+	check := func(m *MultiSnapshot) {
 		t.Helper()
 		want := expectedB(e.Tree())
-		if got := resultKeys(s.Results()); !slices.Equal(got, want) {
-			t.Fatalf("snapshot v%d: got %v, want %v", s.Version(), got, want)
+		if got := resultKeys(m.Query(id).Results()); !slices.Equal(got, want) {
+			t.Fatalf("snapshot v%d: got %v, want %v", m.Version(), got, want)
 		}
 	}
 	check(e.Snapshot())
 	for step := 0; step < 200; step++ {
 		nodes := e.Tree().Nodes()
 		n := nodes[rng.Intn(len(nodes))]
-		l := []tree.Label{"a", "b", "c"}[rng.Intn(3)]
-		var s *Snapshot
-		var err error
+		u := Update{Node: n.ID, Label: []tree.Label{"a", "b", "c"}[rng.Intn(3)]}
 		switch rng.Intn(4) {
 		case 0:
-			s, err = e.Relabel(n.ID, l)
+			u.Op = OpRelabel
 		case 1:
-			_, s, err = e.InsertFirstChild(n.ID, l)
+			u.Op = OpInsertFirstChild
 		case 2:
 			if n.Parent == nil {
 				continue
 			}
-			_, s, err = e.InsertRightSibling(n.ID, l)
+			u.Op = OpInsertRightSibling
 		default:
 			if !n.IsLeaf() || n.Parent == nil {
 				continue
 			}
-			s, err = e.Delete(n.ID)
+			u.Op = OpDelete
 		}
+		_, m, err := edit(&e.Engine, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(s)
+		check(m)
 	}
 }
 
@@ -99,9 +124,9 @@ func TestSnapshotMatchesTree(t *testing.T) {
 func TestSnapshotIsolationMidIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ut := tva.RandomUnrankedTree(rng, 120, []tree.Label{"a", "b"})
-	e := mustTreeEngine(t, ut)
+	e, id := mustTreeSet(t, ut)
 
-	snap := e.Snapshot()
+	snap := e.Snapshot().Query(id)
 	want := resultKeys(snap.Results())
 	if len(want) < 10 {
 		t.Fatalf("test tree too small: %d results", len(want))
@@ -122,15 +147,11 @@ func TestSnapshotIsolationMidIteration(t *testing.T) {
 	// delete leaves. The paused iteration must not notice.
 	for _, n := range e.Tree().Nodes() {
 		if n.Label == "b" {
-			if _, err := e.Relabel(n.ID, "a"); err != nil {
-				t.Fatal(err)
-			}
+			mustEdit(t, &e.Engine, Update{Op: OpRelabel, Node: n.ID, Label: "a"})
 		}
 	}
 	for i := 0; i < 30; i++ {
-		if _, _, err := e.InsertFirstChild(e.Tree().Root.ID, "b"); err != nil {
-			t.Fatal(err)
-		}
+		mustEdit(t, &e.Engine, Update{Op: OpInsertFirstChild, Node: e.Tree().Root.ID, Label: "b"})
 	}
 
 	for {
@@ -149,7 +170,7 @@ func TestSnapshotIsolationMidIteration(t *testing.T) {
 		t.Fatal("old snapshot changed after updates")
 	}
 	// And the latest snapshot sees the new state.
-	if got := resultKeys(e.Snapshot().Results()); len(got) != 30 {
+	if got := resultKeys(e.Snapshot().Query(id).Results()); len(got) != 30 {
 		t.Fatalf("latest snapshot has %d results, want 30", len(got))
 	}
 }
@@ -161,8 +182,8 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ut := tva.RandomUnrankedTree(rng, 60, []tree.Label{"a", "b", "c"})
 
-	eBatch := mustTreeEngine(t, ut.Clone())
-	eSeq := mustTreeEngine(t, ut.Clone())
+	eBatch, idB := mustTreeSet(t, ut.Clone())
+	eSeq, idS := mustTreeSet(t, ut.Clone())
 	if eBatch.Snapshot().Version() != 1 {
 		t.Fatalf("initial version = %d, want 1", eBatch.Snapshot().Version())
 	}
@@ -175,21 +196,20 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		n := nodes[rng.Intn(10)%len(nodes)]
 		batch = append(batch, Update{Op: OpRelabel, Node: n.ID, Label: []tree.Label{"a", "b", "c"}[rng.Intn(3)]})
 	}
-	base := eBatch.BoxesRebuilt()
-	snapB, _, err := eBatch.ApplyBatch(batch)
+	base := eBatch.Stats().BoxesRebuilt
+	mB, _, err := eBatch.ApplyBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchWork := eBatch.BoxesRebuilt() - base
+	snapB := mB.Query(idB)
+	batchWork := eBatch.Stats().BoxesRebuilt - base
 
-	base = eSeq.BoxesRebuilt()
-	var snapS *Snapshot
+	base = eSeq.Stats().BoxesRebuilt
 	for _, u := range batch {
-		if snapS, err = eSeq.Relabel(u.Node, u.Label); err != nil {
-			t.Fatal(err)
-		}
+		mustEdit(t, &eSeq.Engine, u)
 	}
-	seqWork := eSeq.BoxesRebuilt() - base
+	snapS := eSeq.Snapshot().Query(idS)
+	seqWork := eSeq.Stats().BoxesRebuilt - base
 
 	if got, want := resultKeys(snapB.Results()), resultKeys(snapS.Results()); !slices.Equal(got, want) {
 		t.Fatalf("batch result %v != sequential result %v", got, want)
@@ -207,9 +227,9 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 // stop-at-first-error contract.
 func TestApplyBatchInsertIDsAndErrors(t *testing.T) {
 	ut := tree.NewUnranked("a")
-	e := mustTreeEngine(t, ut)
+	e, id := mustTreeSet(t, ut)
 
-	snap, ids, err := e.ApplyBatch([]Update{
+	m, ids, err := e.ApplyBatch([]Update{
 		{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"},
 		{Op: OpInsertRightSibling, Node: ut.Root.ID, Label: "b"}, // invalid: the root has no siblings
 	})
@@ -223,11 +243,11 @@ func TestApplyBatchInsertIDsAndErrors(t *testing.T) {
 		t.Fatalf("unapplied position should stay InvalidNode, got %d", ids[1])
 	}
 	// The first edit was applied and published despite the later error.
-	if got := resultKeys(snap.Results()); len(got) != 1 {
+	if got := resultKeys(m.Query(id).Results()); len(got) != 1 {
 		t.Fatalf("partial batch published %d results, want 1", len(got))
 	}
 
-	snap2, ids2, err := e.ApplyBatch([]Update{
+	m2, ids2, err := e.ApplyBatch([]Update{
 		{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"},
 		{Op: OpRelabel, Node: ids[0], Label: "a"},
 		{Op: OpDelete, Node: ids[0]},
@@ -240,7 +260,7 @@ func TestApplyBatchInsertIDsAndErrors(t *testing.T) {
 	}
 	// The old b-child was relabeled away and deleted; only the batch's
 	// fresh insert remains.
-	if got := resultKeys(snap2.Results()); len(got) != 1 {
+	if got := resultKeys(m2.Query(id).Results()); len(got) != 1 {
 		t.Fatalf("got %d results, want 1", len(got))
 	}
 
@@ -250,9 +270,9 @@ func TestApplyBatchInsertIDsAndErrors(t *testing.T) {
 	}
 }
 
-// TestWordEngineBatchAndSnapshots covers the word side: batched letter
+// TestWordSetBatchAndSnapshots covers the word side: batched letter
 // edits, snapshot isolation, MoveRange as one publication.
-func TestWordEngineBatchAndSnapshots(t *testing.T) {
+func TestWordSetBatchAndSnapshots(t *testing.T) {
 	q := &tva.WVA{
 		NumStates: 2,
 		Alphabet:  alphaAB,
@@ -269,17 +289,21 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 	}
 	q.Trans = append(q.Trans, tva.WTrans{From: 0, Label: "b", Set: tree.NewVarSet(0), To: 1})
 
-	e, err := NewWord([]tree.Label{"a", "b", "a"}, q, Options{})
+	e, err := NewWordSet([]tree.Label{"a", "b", "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.Snapshot()
+	id, err := e.Register(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Snapshot().Query(id)
 	if before.Count() != 1 {
 		t.Fatalf("initial count = %d, want 1", before.Count())
 	}
 
 	ids, _ := e.Word()
-	snap, newIDs, err := e.ApplyBatch([]Update{
+	m, newIDs, err := e.ApplyBatch([]Update{
 		{Op: OpInsertAfter, Node: ids[2], Label: "b"},
 		{Op: OpInsertBefore, Node: ids[0], Label: "b"},
 		{Op: OpRelabel, Node: ids[1], Label: "a"},
@@ -287,6 +311,7 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := m.Query(id)
 	if newIDs[0] == newIDs[1] {
 		t.Fatal("insert IDs must be distinct")
 	}
@@ -302,10 +327,11 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 
 	// MoveRange: one publication, stable IDs.
 	v := snap.Version()
-	moved, err := e.MoveRange(0, 2, 2)
+	_, mm, err := edit(&e.Engine, Update{Op: OpMoveRange, From: 0, K: 2, To: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	moved := mm.Query(id)
 	if moved.Version() != v+1 {
 		t.Fatalf("MoveRange published %d snapshots, want 1", moved.Version()-v)
 	}
@@ -314,19 +340,45 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 	}
 }
 
+// TestRangeInsertIDs checks the ID contract of the word range inserts:
+// ApplyBatch reports the FIRST fresh letter of an OpInsertRange /
+// OpConcat, and the range's letters carry consecutive IDs from it.
+func TestRangeInsertIDs(t *testing.T) {
+	ws, err := NewWordSet([]tree.Label{"a", "b", "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ids, err := ws.ApplyBatch([]Update{
+		{Op: OpInsertRange, From: 1, Labels: []tree.Label{"b", "b", "a"}},
+		{Op: OpRelabel, Node: 0, Label: "b"},
+		{Op: OpConcat, Labels: []tree.Label{"a", "b"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids[1] != tree.InvalidNode {
+		t.Fatalf("relabel reported ID %d", ids[1])
+	}
+	letters, labels := ws.Word()
+	for _, r := range []struct{ batchPos, wordPos, n int }{{0, 1, 3}, {2, 6, 2}} {
+		for k := range r.n {
+			if got, want := letters[r.wordPos+k], ids[r.batchPos]+tree.NodeID(k); got != want {
+				t.Fatalf("batch position %d: letter %d has ID %d, want %d (word %v)",
+					r.batchPos, r.wordPos+k, got, want, labels)
+			}
+		}
+	}
+}
+
 // TestStatsAndVersioning sanity-checks the monotone version counter and
 // the lazily computed stats.
 func TestStatsAndVersioning(t *testing.T) {
 	ut := tree.NewUnranked("a")
-	e := mustTreeEngine(t, ut)
+	e, id := mustTreeSet(t, ut)
 	var last uint64
 	for i := 0; i < 5; i++ {
-		s, _, err := e.InsertFirstChild(ut.Root.ID, "b")
-		_ = s
-		snap := e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		mustEdit(t, &e.Engine, Update{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"})
+		snap := e.Snapshot().Query(id)
 		if snap.Version() <= last {
 			t.Fatalf("version not increasing: %d after %d", snap.Version(), last)
 		}
@@ -349,33 +401,31 @@ func TestStatsAndVersioning(t *testing.T) {
 func TestAttachTracksLiveTerm(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ut := tva.RandomUnrankedTree(rng, 30, []tree.Label{"a", "b"})
-	e := mustTreeEngine(t, ut)
+	e, id := mustTreeSet(t, ut)
 	labels := []tree.Label{"a", "b"}
 	for i := 0; i < 3000; i++ {
 		nodes := e.Tree().Nodes()
 		n := nodes[rng.Intn(len(nodes))]
-		var err error
+		u := Update{Node: n.ID, Label: labels[rng.Intn(2)]}
 		switch rng.Intn(4) {
 		case 0:
-			_, err = e.Relabel(n.ID, labels[rng.Intn(2)])
+			u.Op = OpRelabel
 		case 1:
-			_, _, err = e.InsertFirstChild(n.ID, labels[rng.Intn(2)])
+			u.Op = OpInsertFirstChild
 		case 2:
 			if n.Parent == nil {
 				continue
 			}
-			_, _, err = e.InsertRightSibling(n.ID, labels[rng.Intn(2)])
+			u.Op = OpInsertRightSibling
 		default:
 			if !n.IsLeaf() || n.Parent == nil {
 				continue
 			}
-			_, err = e.Delete(n.ID)
+			u.Op = OpDelete
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		mustEdit(t, &e.Engine, u)
 	}
-	attach := e.set.pipes[e.id].attach
+	attach := e.pipes[id].attach
 	live := 0
 	var rec func(n *forest.Node)
 	rec = func(n *forest.Node) {
@@ -389,23 +439,24 @@ func TestAttachTracksLiveTerm(t *testing.T) {
 		rec(n.Left)
 		rec(n.Right)
 	}
-	rec(e.set.f.TermRoot())
+	rec(e.f.TermRoot())
 	if len(attach) != live {
 		t.Fatalf("attach map has %d entries for %d live term nodes (leak)", len(attach), live)
 	}
 	want := expectedB(e.Tree())
-	if got := resultKeys(e.Snapshot().Results()); !slices.Equal(got, want) {
+	if got := resultKeys(e.Snapshot().Query(id).Results()); !slices.Equal(got, want) {
 		t.Fatalf("post-storm results wrong: got %d, want %d", len(got), len(want))
 	}
 }
 
-func ExampleTreeEngine_ApplyBatch() {
+func ExampleEngine_ApplyBatch() {
 	ut := tree.NewUnranked("a")
-	e, _ := NewTree(ut, tva.SelectLabel([]tree.Label{"a", "b"}, "b", 0), Options{})
-	snap, _, _ := e.ApplyBatch([]Update{
+	s := NewTreeSet(ut)
+	id, _ := s.Register(tva.SelectLabel([]tree.Label{"a", "b"}, "b", 0), Options{})
+	m, _, _ := s.ApplyBatch([]Update{
 		{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"},
 		{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"},
 	})
-	fmt.Println(snap.Count())
+	fmt.Println(m.Query(id).Count())
 	// Output: 2
 }

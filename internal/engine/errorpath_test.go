@@ -2,13 +2,14 @@ package engine
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
 
-// This file audits the error paths of Mutate/ApplyBatch: a failing edit
+// This file audits the error paths of ApplyBatch: a failing edit
 // mid-batch must still publish a MultiSnapshot that reflects exactly
 // the applied prefix, consistently across every registered query — no
 // torn state, no stale version, and the engine must keep accepting
@@ -29,11 +30,8 @@ func checkSetAgainstFresh(t *testing.T, qs *TreeSet, ids []QueryID) {
 	t.Helper()
 	m := qs.Snapshot()
 	for qi, q := range auditQueries() {
-		fresh, err := NewTree(qs.Tree().Clone(), q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := resultKeys(fresh.Snapshot().Results())
+		fresh, id := mustRegister(t, qs.Tree().Clone(), q, Options{})
+		want := resultKeys(fresh.Snapshot().Query(id).Results())
 		got := resultKeys(m.Query(ids[qi]).Results())
 		if !slices.Equal(got, want) {
 			t.Fatalf("query %d: snapshot diverges from prefix state\ngot:  %v\nwant: %v", qi, got, want)
@@ -106,7 +104,7 @@ func TestTreeBatchFailureMidBatch(t *testing.T) {
 			}
 			checkSetAgainstFresh(t, qs, ids)
 			// The engine must remain usable after the failure.
-			if _, err := qs.Relabel(0, "b"); err != nil {
+			if _, _, err := edit(&qs.Engine, Update{Op: OpRelabel, Node: 0, Label: "b"}); err != nil {
 				t.Fatalf("engine unusable after failed batch: %v", err)
 			}
 			checkSetAgainstFresh(t, qs, ids)
@@ -177,7 +175,7 @@ func TestWordBatchFailureMidBatch(t *testing.T) {
 		if len(ids2) != 1 {
 			t.Fatalf("word length %d, want 1", len(ids2))
 		}
-		m2, err := ws.Delete(ids2[0])
+		_, m2, err := edit(&ws.Engine, Update{Op: OpDelete, Node: ids2[0]})
 		if err == nil {
 			t.Fatal("deleting the last letter must fail")
 		}
@@ -205,6 +203,34 @@ func TestWordBatchFailureMidBatch(t *testing.T) {
 			t.Fatalf("Count = %d after prefix relabel", got)
 		}
 	})
+}
+
+// TestBatchErrorNamesOperands checks that a failing batch position is
+// reported with the operands its op reads: positions and lengths for
+// the word range edits (which have no node), the node ID otherwise.
+func TestBatchErrorNamesOperands(t *testing.T) {
+	ws, err := NewWordSet([]tree.Label{"a", "b", "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		u    Update
+		want string
+	}{
+		{Update{Op: OpMoveRange, From: 2, K: 5, To: 0}, "(moveRange from 2 k 5 to 0)"},
+		{Update{Op: OpDeleteRange, From: 7, K: 1}, "(deleteRange from 7 k 1)"},
+		{Update{Op: OpInsertRange, From: 9, Labels: []tree.Label{"a", "b"}}, "(insertRange at 9, 2 labels)"},
+		{Update{Op: OpConcat}, "(concat 0 labels)"},
+		{Update{Op: OpDelete, Node: 42}, "(delete n42)"},
+	} {
+		_, _, err := ws.ApplyBatch([]Update{{Op: OpRelabel, Node: 0, Label: "b"}, tc.u})
+		if err == nil {
+			t.Fatalf("%v: batch unexpectedly succeeded", tc.u.Op)
+		}
+		if want := "engine: batch update 1 " + tc.want; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v: error %q does not name %q", tc.u.Op, err, want)
+		}
+	}
 }
 
 // wordSelectQuery returns a WVA selecting every b-letter.

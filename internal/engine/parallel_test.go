@@ -410,10 +410,10 @@ func TestDeltaLogTrimming(t *testing.T) {
 }
 
 // TestEngineStatsSurface pins the unified stats surface: Engine.Stats is
-// one immutable reading per publication, consistent with the deprecated
-// counter wrappers, monotone across edits and unregistrations, and
-// readable while the parallel writer runs (the churn stress above
-// hammers the concurrency; this test checks the values).
+// one immutable reading per publication, consistent with the snapshot
+// stats, monotone across edits and unregistrations, and readable while
+// the parallel writer runs (the churn stress above hammers the
+// concurrency; this test checks the values).
 func TestEngineStatsSurface(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	ut := tva.RandomUnrankedTree(rng, 60, []tree.Label{"a", "b", "c"})
@@ -423,27 +423,21 @@ func TestEngineStatsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qb, err := s.Register(selectLabel("b"), Options{Workers: 4}) // adopts the engine-wide pool bound
+	s.SetWorkers(4) // read back at the next publication
+	qb, err := s.Register(selectLabel("b"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	st := s.Stats()
 	if st.Workers != 4 {
-		t.Fatalf("Options.Workers not adopted: %d", st.Workers)
+		t.Fatalf("SetWorkers not adopted: %d", st.Workers)
 	}
 	if st.Queries != 2 || len(st.QueryBoxesRebuilt) != 2 {
 		t.Fatalf("stats queries = %d (%v), want 2", st.Queries, st.QueryBoxesRebuilt)
 	}
 	if st.BoxesRebuilt != st.QueryBoxesRebuilt[qa]+st.QueryBoxesRebuilt[qb] {
 		t.Fatalf("BoxesRebuilt %d is not the per-query sum %v", st.BoxesRebuilt, st.QueryBoxesRebuilt)
-	}
-	// Deprecated wrappers read the same publication.
-	if s.BoxesRebuilt() != st.BoxesRebuilt || s.PathCopies() != st.PathCopies || s.Rebalances() != st.Rebalances {
-		t.Fatal("deprecated counter wrappers disagree with Stats()")
-	}
-	if n, ok := s.QueryBoxesRebuilt(qa); !ok || n != st.QueryBoxesRebuilt[qa] {
-		t.Fatal("QueryBoxesRebuilt wrapper disagrees with Stats()")
 	}
 
 	for i := 0; i < 30; i++ {
@@ -476,7 +470,7 @@ func TestEngineStatsSurface(t *testing.T) {
 	}
 	// The returned map is the caller's copy.
 	st3.QueryBoxesRebuilt[qa] = -1
-	if n, _ := s.QueryBoxesRebuilt(qa); n == -1 {
+	if s.Stats().QueryBoxesRebuilt[qa] == -1 {
 		t.Fatal("Stats() leaked the engine's internal map")
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/circuit"
+	"repro/internal/counting"
 	"repro/internal/enumerate"
 	"repro/internal/tree"
 )
@@ -311,11 +312,31 @@ func (s *Snapshot) All() []tree.Assignment {
 	return out
 }
 
-// Accepting exposes the snapshot's root box together with its accepting
-// boxed set and empty-assignment flag, for algebraic evaluators (package
-// counting) that walk the frozen circuit directly.
-func (s *Snapshot) Accepting() (*circuit.Box, bitset.Set, bool) {
-	return s.root.Box, s.gamma, s.emptyOK
+// MinResultSize returns the smallest |S| over all satisfying
+// assignments S, and false if there are none. It is computed
+// algebraically in the tropical semiring (counting.MinSize), without
+// enumerating — but each call runs a one-shot evaluator over the whole
+// frozen circuit: O(boxes·poly|Q|) per call, nothing is cached across
+// calls or versions.
+func (s *Snapshot) MinResultSize() (int, bool) {
+	return s.resultSize(counting.NewEvaluator[int64](counting.MinSize{}))
+}
+
+// MaxResultSize returns the largest |S| over all satisfying assignments,
+// and false if there are none (same O(boxes·poly|Q|) per-call cost as
+// MinResultSize).
+func (s *Snapshot) MaxResultSize() (int, bool) {
+	return s.resultSize(counting.NewEvaluator[int64](counting.MaxSize{}))
+}
+
+// resultSize folds the accepting root of the frozen circuit in a
+// tropical semiring; an infinite value means there is no result.
+func (s *Snapshot) resultSize(ev *counting.Evaluator[int64]) (int, bool) {
+	v := ev.Gamma(s.root.Box, s.gamma, s.emptyOK)
+	if counting.IsInfinite(v) {
+		return 0, false
+	}
+	return int(v), true
 }
 
 // Root returns the root of the snapshot's frozen wrapper tree.

@@ -1,6 +1,10 @@
 package engine
 
-import "repro/internal/tree"
+import (
+	"fmt"
+
+	"repro/internal/tree"
+)
 
 // UpdateOp identifies one edit operation of Definition 7.1 (trees), a
 // structural edit (subtree insert/delete/move, word range edits), or a
@@ -112,4 +116,21 @@ type Update struct {
 	To   int
 	// Labels carries the letters of OpInsertRange / OpConcat.
 	Labels []tree.Label
+}
+
+// describe renders the update's operands for batch error messages: the
+// node ID for node edits, the positions and lengths for the word range
+// edits (which never read Node).
+func (u Update) describe() string {
+	switch u.Op {
+	case OpMoveRange:
+		return fmt.Sprintf("%v from %d k %d to %d", u.Op, u.From, u.K, u.To)
+	case OpDeleteRange:
+		return fmt.Sprintf("%v from %d k %d", u.Op, u.From, u.K)
+	case OpInsertRange:
+		return fmt.Sprintf("%v at %d, %d labels", u.Op, u.From, len(u.Labels))
+	case OpConcat:
+		return fmt.Sprintf("%v %d labels", u.Op, len(u.Labels))
+	}
+	return fmt.Sprintf("%v n%d", u.Op, u.Node)
 }

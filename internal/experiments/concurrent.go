@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
@@ -64,10 +63,7 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 		Query:      "ancestor (E1-E4 standing query)",
 	}
 	for _, readers := range []int{1, 4, 16} {
-		eng, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-		if err != nil {
-			panic(err)
-		}
+		eng, id := standing(ut.Clone(), q, engine.Options{})
 		var (
 			results atomic.Int64
 			enums   atomic.Int64
@@ -79,7 +75,7 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ed := workload.NewEditor(treeMutator{eng}, rand.New(rand.NewSource(78)))
+			ed := workload.NewEditor(workload.SetMutator{TreeSet: eng}, rand.New(rand.NewSource(78)))
 			for !stop.Load() {
 				if err := ed.Step(); err != nil {
 					panic(err)
@@ -94,7 +90,7 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 				defer wg.Done()
 				for !stop.Load() {
 					k := int64(0)
-					for range eng.Snapshot().Results() {
+					for range eng.Snapshot().Query(id).Results() {
 						k++
 					}
 					results.Add(k)
@@ -120,59 +116,6 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 		base.Points[i].SpeedupVsOne = base.Points[i].ResultsPerSecond / base.Points[0].ResultsPerSecond
 	}
 	return base
-}
-
-// treeMutator adapts the engine's writer API (which returns snapshots)
-// to workload.TreeMutator.
-type treeMutator struct{ e *engine.TreeEngine }
-
-func (m treeMutator) Tree() *tree.Unranked { return m.e.Tree() }
-
-func (m treeMutator) Relabel(id tree.NodeID, l tree.Label) error {
-	_, err := m.e.Relabel(id, l)
-	return err
-}
-
-func (m treeMutator) InsertFirstChild(id tree.NodeID, l tree.Label) (tree.NodeID, error) {
-	v, _, err := m.e.InsertFirstChild(id, l)
-	return v, err
-}
-
-func (m treeMutator) InsertRightSibling(id tree.NodeID, l tree.Label) (tree.NodeID, error) {
-	v, _, err := m.e.InsertRightSibling(id, l)
-	return v, err
-}
-
-func (m treeMutator) Delete(id tree.NodeID) error {
-	_, err := m.e.Delete(id)
-	return err
-}
-
-// The structural half of workload.StructuralTreeMutator.
-
-func (m treeMutator) DeleteSubtree(id tree.NodeID) error {
-	_, err := m.e.DeleteSubtree(id)
-	return err
-}
-
-func (m treeMutator) MoveSubtreeFirstChild(id, dest tree.NodeID) error {
-	_, err := m.e.MoveSubtreeFirstChild(id, dest)
-	return err
-}
-
-func (m treeMutator) MoveSubtreeRightSibling(id, dest tree.NodeID) error {
-	_, err := m.e.MoveSubtreeRightSibling(id, dest)
-	return err
-}
-
-func (m treeMutator) InsertSubtreeFirstChild(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, error) {
-	v, _, err := m.e.InsertSubtreeFirstChild(id, frag)
-	return v, err
-}
-
-func (m treeMutator) InsertSubtreeRightSibling(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, error) {
-	v, _, err := m.e.InsertSubtreeRightSibling(id, frag)
-	return v, err
 }
 
 // Table renders the baseline as a markdown table for the benchtables

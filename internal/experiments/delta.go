@@ -72,32 +72,30 @@ type DeltaBaseline struct {
 // flip/unflip relabel batches that change exactly k answers per
 // publication.
 type deltaPair struct {
-	push    *engine.TreeEngine
-	pull    *engine.TreeEngine
-	ch      <-chan engine.Delta
-	answers int
+	push, pull     *engine.TreeSet
+	pushID, pullID engine.QueryID
+	ch             <-chan engine.Delta
+	answers        int
 }
 
 func newDeltaPair(n int, seed int64) deltaPair {
-	build := func() *engine.TreeEngine {
+	build := func() (*engine.TreeSet, engine.QueryID) {
 		ut, err := workload.Tree(workload.ShapeRandom, n, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			panic(err)
 		}
-		e, err := engine.NewTree(ut, tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
-		if err != nil {
-			panic(err)
-		}
-		return e
+		return standing(ut, tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
 	}
-	p := deltaPair{push: build(), pull: build()}
-	ch, err := p.push.Subscribe()
+	var p deltaPair
+	p.push, p.pushID = build()
+	p.pull, p.pullID = build()
+	ch, err := p.push.Subscribe(p.pushID)
 	if err != nil {
 		panic(err)
 	}
 	p.ch = ch
 	<-ch // the seed resync; from here every recv is a per-publication delta
-	p.answers = p.push.Snapshot().Count()
+	p.answers = p.push.Snapshot().Query(p.pushID).Count()
 	return p
 }
 
@@ -210,7 +208,7 @@ func (p deltaPair) measure(k, reps int, rng *rand.Rand) DeltaPoint {
 		}
 		t1 := time.Now()
 		got := 0
-		for range s.Results() {
+		for range s.Query(p.pullID).Results() {
 			got++
 		}
 		t2 := time.Now()
@@ -255,7 +253,7 @@ func Delta(quick bool) DeltaBaseline {
 	for _, k := range ks {
 		base.Points = append(base.Points, p.measure(k, reps, rng))
 	}
-	p.push.Set().Unregister(p.push.ID())
+	p.push.Unregister(p.pushID)
 
 	for _, sn := range scaleNs {
 		sp := newDeltaPair(sn, 191+int64(sn))
@@ -268,7 +266,7 @@ func Delta(quick bool) DeltaBaseline {
 			DrainNs:   pt.DrainNs,
 			Speedup:   pt.Speedup,
 		})
-		sp.push.Set().Unregister(sp.push.ID())
+		sp.push.Unregister(sp.pushID)
 	}
 	return base
 }

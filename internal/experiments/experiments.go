@@ -17,7 +17,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bitset"
 	"repro/internal/circuit"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/enumerate"
 	"repro/internal/forest"
 	"repro/internal/markedanc"
@@ -86,6 +86,17 @@ func delaySamples(e interface {
 	return out
 }
 
+// standing registers q as the one standing query of a fresh TreeSet
+// over ut (panicking on a registration error, like every experiment).
+func standing(ut *tree.Unranked, q *tva.Unranked, opts engine.Options) (*engine.TreeSet, engine.QueryID) {
+	s := engine.NewTreeSet(ut)
+	id, err := s.Register(q, opts)
+	if err != nil {
+		panic(err)
+	}
+	return s, id
+}
+
 func sizesFor(quick bool, full []int) []int {
 	if !quick {
 		return full
@@ -125,11 +136,8 @@ func E1Table1(quick bool) Table {
 		if err != nil {
 			panic(err)
 		}
-		ours, err := core.NewTreeEnumerator(ut.Clone(), q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		editor := workload.NewEditor(ours, rng)
+		ours, oursID := standing(ut.Clone(), q, engine.Options{})
+		editor := workload.NewEditor(workload.SetMutator{TreeSet: ours}, rng)
 		const nEdits = 200
 		start := time.Now()
 		for i := 0; i < nEdits; i++ {
@@ -138,15 +146,12 @@ func E1Table1(quick bool) Table {
 			}
 		}
 		updOurs := time.Since(start) / nEdits
-		delayOurs := median(delaySamples(ours, 2000))
+		delayOurs := median(delaySamples(ours.Snapshot().Query(oursID), 2000))
 
-		naive, err := core.NewTreeEnumerator(ut.Clone(), q, core.Options{Mode: enumerate.ModeNaive})
-		if err != nil {
-			panic(err)
-		}
-		delayNaive := median(delaySamples(naive, 2000))
+		naive, naiveID := standing(ut.Clone(), q, engine.Options{Mode: enumerate.ModeNaive})
+		delayNaive := median(delaySamples(naive.Snapshot().Query(naiveID), 2000))
 
-		reb, err := baseline.NewRebuildEnumerator(ut.Clone(), q, core.Options{})
+		reb, err := baseline.NewRebuildEnumerator(ut.Clone(), q, engine.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -183,9 +188,7 @@ func E2Preprocessing(quick bool) Table {
 				panic(err)
 			}
 			start := time.Now()
-			if _, err := core.NewTreeEnumerator(ut, q, core.Options{}); err != nil {
-				panic(err)
-			}
+			standing(ut, q, engine.Options{})
 			el := time.Since(start)
 			t.Rows = append(t.Rows, []string{
 				shape, fmt.Sprint(n), dur(el), fmt.Sprintf("%.0f", float64(el.Nanoseconds())/float64(n)),
@@ -210,11 +213,8 @@ func E3Delay(quick bool) Table {
 		if err != nil {
 			panic(err)
 		}
-		e, err := core.NewTreeEnumerator(ut, q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		ds := delaySamples(e, 20000)
+		e, id := standing(ut, q, engine.Options{})
+		ds := delaySamples(e.Snapshot().Query(id), 20000)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(len(ds)), dur(median(ds)), dur(percentile(ds, 0.99)),
 		})
@@ -237,12 +237,9 @@ func E4Updates(quick bool) Table {
 		if err != nil {
 			panic(err)
 		}
-		e, err := core.NewTreeEnumerator(ut, q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		before := e.Stats()
-		editor := workload.NewEditor(e, rng)
+		e, id := standing(ut, q, engine.Options{})
+		before := e.Snapshot().Query(id).Stats()
+		editor := workload.NewEditor(workload.SetMutator{TreeSet: e}, rng)
 		const nEdits = 500
 		start := time.Now()
 		for i := 0; i < nEdits; i++ {
@@ -251,7 +248,7 @@ func E4Updates(quick bool) Table {
 			}
 		}
 		el := time.Since(start) / nEdits
-		after := e.Stats()
+		after := e.Snapshot().Query(id).Stats()
 		boxes := float64(after.BoxesRebuilt-before.BoxesRebuilt) / float64(nEdits)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), dur(el),
@@ -284,12 +281,9 @@ func E5Combined(quick bool) Table {
 		q := tva.DescendantAtDepth(alpha, "b", k, 0)
 		ut := tva.RandomUnrankedTree(rng, 2000, alpha)
 		start := time.Now()
-		e, err := core.NewTreeEnumerator(ut.Clone(), q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
+		e, id := standing(ut.Clone(), q, engine.Options{})
 		oursT := time.Since(start)
-		oursStates := e.Stats().TranslatedStates
+		oursStates := e.Snapshot().Query(id).Stats().TranslatedStates
 
 		start = time.Now()
 		_, st, err := baseline.DeterminizeFirst(q)
@@ -323,7 +317,11 @@ func E6Words(quick bool) Table {
 	for _, n := range sizesFor(quick, []int{1000, 4000, 16000, 64000, 256000}) {
 		letters := workload.Word(n, rng)
 		start := time.Now()
-		e, err := core.NewWordEnumerator(letters, q, core.Options{})
+		e, err := engine.NewWordSet(letters)
+		if err != nil {
+			panic(err)
+		}
+		qid, err := e.Register(q, engine.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -336,25 +334,24 @@ func E6Words(quick bool) Table {
 			if err != nil {
 				panic(err)
 			}
+			var u engine.Update
 			switch rng.Intn(3) {
 			case 0:
-				if err := e.Relabel(id, workload.Word(1, rng)[0]); err != nil {
-					panic(err)
-				}
+				u = engine.Update{Op: engine.OpRelabel, Node: id, Label: workload.Word(1, rng)[0]}
 			case 1:
-				if _, err := e.InsertAfter(id, workload.Word(1, rng)[0]); err != nil {
-					panic(err)
-				}
+				u = engine.Update{Op: engine.OpInsertAfter, Node: id, Label: workload.Word(1, rng)[0]}
 			default:
-				if e.Len() > 1 {
-					if err := e.Delete(id); err != nil {
-						panic(err)
-					}
+				if e.Len() == 1 {
+					continue
 				}
+				u = engine.Update{Op: engine.OpDelete, Node: id}
+			}
+			if _, _, err := e.ApplyBatch([]engine.Update{u}); err != nil {
+				panic(err)
 			}
 		}
 		upd := time.Since(start) / edits
-		ds := delaySamples(e, 10000)
+		ds := delaySamples(e.Snapshot().Query(qid), 10000)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), dur(pre), fmt.Sprintf("%.0f", float64(pre.Nanoseconds())/float64(n)),
 			dur(upd), dur(median(ds)),
@@ -520,11 +517,8 @@ func E9CircuitSize(quick bool) Table {
 		if err != nil {
 			panic(err)
 		}
-		e, err := core.NewTreeEnumerator(ut, q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		st := e.Stats()
+		e, id := standing(ut, q, engine.Options{})
+		st := e.Snapshot().Query(id).Stats()
 		gates := st.UnionGates + st.TimesGates + st.VarGates
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(st.Boxes), fmt.Sprint(gates),

@@ -159,17 +159,16 @@ func Kernels(quick bool) KernelsBaseline {
 		})
 	}
 
-	// End to end. Workers=1 keeps the engine single-goroutine, which the
-	// ForceGeneric window requires (the dispatch flags are not
+	// End to end. SetWorkers(1) keeps the engine single-goroutine, which
+	// the ForceGeneric window requires (the dispatch flags are not
 	// synchronized — see its doc comment).
 	ut, err := workload.Tree(workload.ShapeRandom, n, rng)
 	if err != nil {
 		panic(err)
 	}
-	eng, err := engine.NewTree(ut.Clone(), q, engine.Options{Workers: 1})
-	if err != nil {
-		panic(err)
-	}
+	eng, id := standing(ut.Clone(), q, engine.Options{})
+	eng.SetWorkers(1)
+	mut := workload.SetMutator{TreeSet: eng}
 	labels := []tree.Label{"a", "b", "c"}
 	var ids []tree.NodeID
 	for _, node := range eng.Tree().Nodes() {
@@ -178,13 +177,13 @@ func Kernels(quick bool) KernelsBaseline {
 	erng := rand.New(rand.NewSource(172))
 	repair := func() float64 {
 		for i := 0; i < edits/4; i++ { // warm-up / settle
-			if _, err := eng.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(len(labels))]); err != nil {
+			if err := mut.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(len(labels))]); err != nil {
 				panic(err)
 			}
 		}
 		t0 := time.Now()
 		for i := 0; i < edits; i++ {
-			if _, err := eng.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(len(labels))]); err != nil {
+			if err := mut.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(len(labels))]); err != nil {
 				panic(err)
 			}
 		}
@@ -200,7 +199,7 @@ func Kernels(quick bool) KernelsBaseline {
 	}
 
 	drain := func() float64 {
-		snap := eng.Snapshot()
+		snap := eng.Snapshot().Query(id)
 		answers := 0
 		t0 := time.Now()
 		for range snap.Results() {

@@ -123,8 +123,9 @@ func Parallel(quick bool) ParallelBaseline {
 			// timing, so cells measured later (larger heap target, fewer
 			// collections) don't look faster for reasons unrelated to the
 			// worker pool.
+			mut := workload.SetMutator{TreeSet: qs}
 			for i := 0; i < edits/4; i++ {
-				if _, err := qs.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(3)]); err != nil {
+				if err := mut.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(3)]); err != nil {
 					panic(err)
 				}
 			}
@@ -134,7 +135,7 @@ func Parallel(quick bool) ParallelBaseline {
 				id := ids[erng.Intn(len(ids))]
 				l := labels[erng.Intn(3)]
 				t0 := time.Now()
-				if _, err := qs.Relabel(id, l); err != nil {
+				if err := mut.Relabel(id, l); err != nil {
 					panic(err)
 				}
 				ds = append(ds, time.Since(t0))

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -187,12 +187,13 @@ func TestEndToEndCorollary83(t *testing.T) {
 		t.Fatal(err)
 	}
 	ut, _ := tree.ParseUnranked("(a (b) (a (a)))")
-	e, err := core.NewTreeEnumerator(ut, q, core.Options{})
+	e := engine.NewTreeSet(ut)
+	id, err := e.Register(q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 1 {
-		t.Fatalf("count = %d, want 1", e.Count())
+	if c := e.Snapshot().Query(id).Count(); c != 1 {
+		t.Fatalf("count = %d, want 1", c)
 	}
 	// Relabel the deepest a to b: its parent now qualifies too.
 	var deepest tree.NodeID
@@ -201,11 +202,12 @@ func TestEndToEndCorollary83(t *testing.T) {
 			deepest = n.ID
 		}
 	}
-	if err := e.Relabel(deepest, "b"); err != nil {
+	m, _, err := e.ApplyBatch([]engine.Update{{Op: engine.OpRelabel, Node: deepest, Label: "b"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 2 {
-		t.Fatalf("after relabel: count = %d, want 2", e.Count())
+	if c := m.Query(id).Count(); c != 2 {
+		t.Fatalf("after relabel: count = %d, want 2", c)
 	}
 	// Check against the oracle.
 	want, err := q.SatisfyingAssignments(e.Tree(), 7)

@@ -96,8 +96,8 @@ func Word(n int, rng *rand.Rand) []tree.Label {
 	return out
 }
 
-// TreeMutator is the edit interface shared by the real enumerator and
-// the rebuild baseline, so update streams apply to both.
+// TreeMutator is the edit interface shared by the engine (SetMutator)
+// and the rebuild baseline, so update streams apply to both.
 type TreeMutator interface {
 	Tree() *tree.Unranked
 	Relabel(id tree.NodeID, l tree.Label) error
@@ -211,9 +211,8 @@ func (ed *Editor) Step() error {
 
 // StructuralTreeMutator extends TreeMutator with the subtree edits of
 // the structural edit language: whole-subtree delete, move and graft.
-// Implemented by baseline.RebuildEnumerator and (via snapshot-dropping
-// adapters) by the engine writers, so the structural update streams
-// drive both sides of a differential run.
+// Implemented by baseline.RebuildEnumerator and SetMutator, so the
+// structural update streams drive both sides of a differential run.
 type StructuralTreeMutator interface {
 	TreeMutator
 	DeleteSubtree(id tree.NodeID) error

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tree"
 )
 
@@ -72,10 +72,7 @@ func TestAncestorQuerySemantics(t *testing.T) {
 func TestApplyEditStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ut, _ := Tree(ShapeRandom, 30, rng)
-	e, err := core.NewTreeEnumerator(ut, AncestorQuery(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, count := registerAncestor(t, ut)
 	edits := RandomEdits(100, rng)
 	for _, ed := range edits {
 		if err := Apply(e, ed); err != nil {
@@ -89,21 +86,18 @@ func TestApplyEditStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.Count(); got != len(want) {
+		if got := count(); got != len(want) {
 			t.Fatalf("count %d, want %d", got, len(want))
 		}
 	} else {
-		_ = e.Count()
+		_ = count()
 	}
 }
 
 func TestEditorStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ut, _ := Tree(ShapeRandom, 6, rng)
-	e, err := core.NewTreeEnumerator(ut, AncestorQuery(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, count := registerAncestor(t, ut)
 	ed := NewEditor(e, rng)
 	for i := 0; i < 120; i++ {
 		if err := ed.Step(); err != nil {
@@ -114,9 +108,21 @@ func TestEditorStorm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := e.Count(); got != len(want) {
+			if got := count(); got != len(want) {
 				t.Fatalf("step %d: count %d, want %d", i, got, len(want))
 			}
 		}
 	}
+}
+
+// registerAncestor stands AncestorQuery on a fresh TreeSet over ut and
+// returns the set as a mutator plus a reader of the current count.
+func registerAncestor(t *testing.T, ut *tree.Unranked) (SetMutator, func() int) {
+	t.Helper()
+	s := engine.NewTreeSet(ut)
+	id, err := s.Register(AncestorQuery(), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SetMutator{s}, func() int { return s.Snapshot().Query(id).Count() }
 }
